@@ -11,7 +11,11 @@ repeated runs — the per-event batched engine) and ``timing_compiled``
 (fresh simulator per run, cold caches — the sweep-cell protocol, where
 the trace pre-compiler (:mod:`repro.fastpath.compiled`) engages and its
 memoized lowering is replayed per run, exactly as a grid sweep replays
-it per cell). All runs happen in the same process on the same inputs,
+it per cell). That section times the replay with the lowering off the
+clock, so beside each ``speedup`` it reports ``lower_s`` (one lowering)
+and ``break_even_replays``: lowering ÷ (per-event run − replay run), the
+number of replays a lowering needs before compiling beats running every
+cell per-event. All runs happen in the same process on the same inputs,
 so the *speedup ratios* are meaningful on any machine even though
 absolute accesses/sec are not.
 
@@ -113,6 +117,28 @@ def _timing_cold_accesses_per_sec(preset: str, trace, repeats: int) -> float:
     return best
 
 
+def _lower_seconds(preset: str, trace, repeats: int) -> float:
+    """Seconds to lower ``trace`` once for ``preset`` (best of ``repeats``)."""
+    from repro.fastpath.compiled import lower
+    from repro.sim.simulator import _OCCUPANCY_SAMPLE_PERIOD
+
+    config = build_machine(preset, boot=False).config
+    best = float("inf")
+    for _ in range(repeats):
+        sim = TimingSimulator(config)
+        start = time.perf_counter()
+        lower(sim, trace, _OCCUPANCY_SAMPLE_PERIOD)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _break_even_replays(lower_s: float, events: int, per_event: float,
+                        compiled: float) -> float | None:
+    """Replays of one lowering that repay it; None if replay never wins."""
+    saved_per_run = events / per_event - events / compiled
+    return round(lower_s / saved_per_run, 2) if saved_per_run > 0 else None
+
+
 def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
     trace = load_trace("art", events)
     trace.decoded()  # pre-decode off the clock; both paths share it
@@ -160,11 +186,15 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
             # replays it across every cell), then time warm replays.
             _timing_cold_accesses_per_sec(preset, trace, 1)
             compiled = _timing_cold_accesses_per_sec(preset, trace, repeats)
+        lower_s = _lower_seconds(preset, trace, repeats)
         report["timing_compiled"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
             "fastpath_accesses_per_sec": round(per_event, 1),
             "compiled_accesses_per_sec": round(compiled, 1),
             "speedup": round(compiled / reference, 3),
+            "lower_s": round(lower_s, 4),
+            "break_even_replays": _break_even_replays(
+                lower_s, len(trace), per_event, compiled),
         }
     return report
 
@@ -215,10 +245,14 @@ def main(argv=None) -> int:
         for preset, cell in report[section].items():
             top = cell.get("compiled_accesses_per_sec",
                            cell["fastpath_accesses_per_sec"])
-            print(f"{section:15} {preset:12} "
-                  f"ref {cell['reference_accesses_per_sec']:>12,.0f}/s   "
-                  f"fast {top:>12,.0f}/s   "
-                  f"{cell['speedup']:.2f}x")
+            line = (f"{section:15} {preset:12} "
+                    f"ref {cell['reference_accesses_per_sec']:>12,.0f}/s   "
+                    f"fast {top:>12,.0f}/s   "
+                    f"{cell['speedup']:.2f}x")
+            if "lower_s" in cell:
+                line += (f"   lower {cell['lower_s']:.3f}s, break-even "
+                         f"{cell['break_even_replays']} replays")
+            print(line)
 
     # Never clobber the baseline with a smoke run's numbers.
     if not (args.check and os.path.abspath(args.out) == os.path.abspath(args.baseline)):

@@ -144,11 +144,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import api
+    from .api import schema
     from .core.config import ConfigurationError, MachineConfig
     from .obs.log import get_logger
 
     log = get_logger("cli")
     try:
+        schema.SimulateRequest(workload=args.benchmark, events=args.events)
         trace = api.load_trace(args.benchmark, args.events)
         config = MachineConfig.preset(f"{args.encryption}+{args.integrity}",
                                       mac_bits=args.mac_bits)
@@ -331,10 +333,15 @@ def _cmd_submit(args) -> int:
         "shutdown": lambda: schema.ShutdownRequest(),
     }
     try:
+        request = requests[args.op]()
+    except schema.SchemaError as exc:
+        log.error("%s", exc)
+        return 2
+    try:
         with ServiceClient(args.host, args.port, tenant=args.tenant) as client:
             if args.subscribe:
                 client.subscribe()
-            envelope = client.request(requests[args.op]())
+            envelope = client.request(request)
             if args.op == "sweep" and args.out:
                 # Legacy bytes: the body IS SweepRun.to_payload(), so this
                 # file diffs byte-equal against `repro sweep --out`.

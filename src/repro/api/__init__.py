@@ -47,6 +47,7 @@ from ..sim import AccessRecorder
 from ..sim.results import SimResult
 from ..sim.simulator import TimingSimulator
 from ..sim.trace import Trace
+from . import schema
 
 __all__ = [
     "build_machine",
@@ -206,6 +207,9 @@ def simulate(
             stacklevel=2,
         )
         metrics = collect_metrics
+    schema.SimulateRequest(workload=workload, config=config, events=events,
+                           overlap=overlap, warmup=warmup, metrics=metrics,
+                           label=label)
     resolved, preset = _resolve_config(config)
     trace_ = load_trace(workload, events)
     return TimingSimulator(resolved, overlap=overlap).run(
@@ -218,11 +222,13 @@ def precompile(workload, config="aise+bmt", *, events: int = 60_000) -> dict:
 
     The timing model's compiled engine (:mod:`repro.fastpath.compiled`)
     lowers a trace once per traffic-shaping geometry and memoizes the
-    artifact on the :class:`Trace`; :func:`simulate` does this lazily on
-    the first cold run. Calling ``precompile`` moves that one-time cost
-    off the measured path explicitly — useful before timing loops, or to
-    warm a trace that will be swept across many timing parameters (all
-    of which replay the same lowering). Returns a small summary::
+    artifact on the :class:`Trace`; left alone it lowers on the second
+    cold run of a trace under one geometry (the first runs per-event: a
+    lowering used once costs more than it saves). Calling
+    ``precompile`` lowers now, so the first run already replays —
+    useful before timing loops, or to warm a trace that will be swept
+    across many timing parameters (all of which replay the same
+    lowering). Returns a small summary::
 
         {"trace": Trace, "events": ..., "misses": ..., "patterns": ...,
          "cached": bool}
@@ -233,14 +239,14 @@ def precompile(workload, config="aise+bmt", *, events: int = 60_000) -> dict:
     :func:`simulate` calls — a workload *name* resolves to a fresh,
     identical Trace each time and would re-lower.
     """
-    from ..fastpath.compiled import classification_key, compiled_for
+    from ..fastpath.compiled import compiled_for, lowered
     from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD
 
+    schema.PrecompileRequest(workload=workload, config=config, events=events)
     resolved, _ = _resolve_config(config)
     trace_ = load_trace(workload, events)
     sim = TimingSimulator(resolved)
-    key = classification_key(sim, _OCCUPANCY_SAMPLE_PERIOD)
-    cached = key in trace_.__dict__.get("_compiled", {})
+    cached = lowered(sim, trace_, _OCCUPANCY_SAMPLE_PERIOD)
     artifact = compiled_for(sim, trace_, _OCCUPANCY_SAMPLE_PERIOD)
     return {
         "trace": trace_,
@@ -319,6 +325,9 @@ def sweep(
     from ..obs.fleet import FleetCollector, ProgressStream
     from ..workloads.spec2k import SPEC2K_BENCHMARKS
 
+    schema.SweepRequest(configs=configs, benchmarks=benchmarks, events=events,
+                        mac_bits=mac_bits, workers=workers, metrics=metrics,
+                        overlap=overlap, warmup=warmup)
     labels = tuple(configs) if configs else tuple(CONFIGS)
     # Canonical labels pass as-is; anything else must be a registry-valid
     # ``encryption[+integrity]`` preset (e.g. aise+bmt_lazy, or a
@@ -416,6 +425,8 @@ def trace(
     from ..obs import chrome as chrome_mod
     from ..obs.tracer import EventTracer, JsonlSink, ListSink, TeeSink
 
+    schema.TraceRequest(workload=workload, config=config, events=events,
+                        interval=interval, warmup=warmup)
     resolved, preset = _resolve_config(config)
     trace_ = load_trace(workload, events)
     label = preset or f"{resolved.encryption}+{resolved.integrity}"

@@ -33,6 +33,7 @@ report with ``aggregate``, a result dict with ``cycles``) remain
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -121,6 +122,9 @@ class Request:
 
     kind = ""  # overridden per subclass
 
+    def __post_init__(self):
+        _check_knobs(self)
+
     def to_wire(self) -> Envelope:
         body = {}
         for spec in fields(self):
@@ -150,6 +154,26 @@ class Request:
             value = getattr(self, name)
             if isinstance(value, list):
                 setattr(self, name, tuple(value))
+
+
+def _check_knobs(request: Request) -> None:
+    """The one validation boundary for the simulation knobs.
+
+    ``events`` is a trace length, ``warmup`` the fraction of it that only
+    warms the caches (1.0, the whole trace, is the degenerate
+    nothing-measured run), and ``overlap`` the fraction of a miss's
+    latency the core cannot hide. Out of range, each used to fail late
+    or not at all (a NumPy error, 0 cycles, negative infinite cycles).
+    """
+    events = getattr(request, "events", 0)
+    if (isinstance(events, bool) or not isinstance(events, numbers.Integral)
+            or events < 0):
+        raise SchemaError(f"events must be a non-negative integer, got {events!r}")
+    for name in ("warmup", "overlap"):
+        value = getattr(request, name, 0.0)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 <= value <= 1.0):
+            raise SchemaError(f"{name} must be a fraction in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -189,6 +213,7 @@ class SweepRequest(Request):
     warmup: float = 0.25
 
     def __post_init__(self):
+        super().__post_init__()
         self._as_tuple("configs", "benchmarks", "mac_bits")
 
 

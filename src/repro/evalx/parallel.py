@@ -28,14 +28,17 @@ import os
 import tempfile
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from ..core.config import CacheConfig, MachineConfig
+from ..fastpath import compiled
 from ..obs import fleet as fleet_obs
 from ..obs.log import get_logger
 from ..sim.results import SimResult
-from ..sim.simulator import MODEL_VERSION, TimingSimulator
+from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, MODEL_VERSION, TimingSimulator
 from ..sim.trace import Trace
 from ..workloads.spec2k import spec_trace
 
@@ -208,8 +211,9 @@ class Cell:
 # Worker-local trace memo: a pool worker executes many cells, typically
 # cycling over few benchmarks, and a kept Trace carries its decoded form
 # and compiled lowerings (repro.fastpath.compiled) with it — so sweep
-# cells sharing a trace replay one lowering instead of re-generating and
-# re-lowering per cell. Bounded: a grid rarely cycles more benchmarks
+# cells sharing a trace and a traffic geometry lower it once (on the
+# second such cell) and replay it thereafter, instead of re-generating
+# and re-lowering per cell. Bounded: a grid rarely cycles more benchmarks
 # than this concurrently, and each entry holds megabytes.
 _worker_traces: dict[tuple, "object"] = {}
 _WORKER_TRACE_CAPACITY = 8
@@ -269,6 +273,24 @@ def _worker_cache_delta(root: str) -> dict:
         delta[name] = value - reported[name]
         reported[name] = value
     return delta
+
+
+@lru_cache(maxsize=64)
+def _lowering_key(config: MachineConfig) -> tuple:
+    return compiled.classification_key(TimingSimulator(config),
+                                       _OCCUPANCY_SAMPLE_PERIOD)
+
+
+def _lower_ahead_cells(cells: list) -> set:
+    """The cells of a serial sweep whose lowering to make before running.
+
+    A serial sweep knows its grid: cells on one trace and traffic
+    geometry replay one lowering, and a group this large repays lowering
+    before its first cell.
+    """
+    groups = Counter((cell.bench, _lowering_key(cell.config)) for cell in cells)
+    return {cell for cell in cells
+            if groups[cell.bench, _lowering_key(cell.config)] >= compiled.LOWER_AHEAD_RUNS}
 
 
 def _simulate_cell(payload: tuple) -> dict:
@@ -511,9 +533,9 @@ def run_cells(
     base_provider = trace_provider or (lambda bench: spec_trace(bench, events))
     # Memoize per sweep: the digest pass and the serial path then share
     # one Trace per benchmark, and with it the decoded columns and the
-    # compiled lowering — every serial cell on the same trace replays one
-    # pre-compilation (the multiplicative evalx win; pool workers get the
-    # same effect from the module-level memo above).
+    # compiled lowering — serial cells on the same trace and traffic
+    # geometry share one pre-compilation, made on the second such cell
+    # (pool workers get the same effect from the module-level memo above).
     trace_memo: dict[str, object] = {}
 
     def provider(bench: str):
@@ -615,12 +637,14 @@ def run_cells(
             cache.put(keys[cell], result, cell)
         account(cell, source, capture_rec)
 
-    def serial(cell: Cell) -> tuple[SimResult, dict | None]:
+    def serial(cell: Cell, lower: bool = False) -> tuple[SimResult, dict | None]:
         trace = provider(cell.bench)
         sim = TimingSimulator(cell.config, overlap=overlap)
         t_start = time.time()
         p_start = time.perf_counter()
         c_start = time.process_time()
+        if lower:
+            compiled.lower_ahead(sim, trace)
         result = sim.run(trace, label=cell.label, warmup=warmup,
                          collect_metrics=metrics)
         capture_rec = None
@@ -658,8 +682,9 @@ def run_cells(
         return spread()
 
     if workers <= 1:
+        lower = _lower_ahead_cells(pending)
         for cell in pending:
-            result, capture_rec = serial(cell)
+            result, capture_rec = serial(cell, cell in lower)
             finish(cell, result, fleet_obs.SOURCE_SERIAL, capture_rec)
         finalize()
         return spread()

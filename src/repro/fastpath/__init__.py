@@ -19,15 +19,24 @@ of both and the switches that select them:
   is lowered once into typed arrays plus a recorded traffic program,
   then replayed through a lean arithmetic loop. The lowering is
   memoized on the trace and reused by every run that shares its
-  traffic-shaping geometry — repeated runs, golden regeneration, and
-  grid sweeps that vary only timing parameters.
+  traffic-shaping geometry — repeated runs, service misses on a stored
+  trace, and sweeps that vary only timing parameters.
 * :func:`execute` (:mod:`repro.fastpath.engine`) — the batched event
-  loop for :meth:`repro.sim.TimingSimulator.run`. It dispatches to the
-  compiled replay when one is applicable (cold caches, no armed
-  sanitizer) and otherwise runs the inlined per-event engine. Either
-  way the arithmetic is identical operation for operation to the
-  instrumented reference loop, so results — including the committed
-  figure-6 golden sweep — are byte-identical.
+  loop for :meth:`repro.sim.TimingSimulator.run`, and the one place the
+  engine is chosen. It dispatches to the compiled replay when one is
+  applicable (cold caches, no armed sanitizer, no deferred tree
+  updates) *and reused*: a lowering costs about 1.7 per-event passes
+  and a replay about 0.2, so it replays only a lowering that is
+  already memoized, lowers on the second cold sighting of a
+  (trace, geometry) pair, and runs the first sighting per-event with
+  reason ``single_use``. ``forced_compiled(True)`` lowers whenever
+  eligible. On the end-to-end benchmark that choice is worth both
+  ways: the figure-6 grid, where no cell replays a lowering, ran at
+  12.3 ops/s per-event against 6.7 compiled, while the service mix,
+  where every miss replays one, ran at 61 compiled against 11
+  per-event. Either way the arithmetic is identical operation for
+  operation to the instrumented reference loop, so results — including
+  the committed figure-6 golden sweep — are byte-identical.
 
 The simulator falls back to its instrumented reference loop whenever a
 :mod:`repro.obs` session is active (live hooks need per-event callbacks)
@@ -58,6 +67,7 @@ FALLBACK_REASONS = (
     "warm_caches",        # per-event: the lowering replays onto cold caches only
     "empty_trace",        # per-event: nothing to replay
     "deferred_updates",   # per-event: reference helpers own the pending-walk queue
+    "single_use",         # per-event: first cold sighting; lowering pays only when replayed
 )
 
 

@@ -523,6 +523,60 @@ def compiled_for(sim, trace, sample_period: int) -> CompiledTrace:
     return artifact
 
 
+def lowered(sim, trace, sample_period: int) -> bool:
+    """Whether ``trace`` holds a lowering for ``sim``'s geometry.
+
+    A plain membership test: unlike :func:`compiled_for` it records no
+    memo probe on the simulator's telemetry.
+    """
+    return classification_key(sim, sample_period) in trace.__dict__.get("_compiled", ())
+
+
+# Cold runs of one trace under one geometry from which lowering before
+# the first beats both per-event runs and the engine's own rule: lowering
+# costs about 1.7 per-event passes and a replay about 0.2, so k runs cost
+# 1.7 + 0.2k lowered first, k per-event, 2.5 + 0.2k lowered on the second.
+LOWER_AHEAD_RUNS = 3
+
+
+def lower_ahead(sim, trace) -> None:
+    """Lower ``trace`` for ``sim`` now, if a cold run could replay it.
+
+    For callers that know the lowering will be replayed — a service
+    trace shared across requests, a sweep group of cells on one trace
+    and geometry: left alone, the engine lowers only on the second cold
+    sighting, one per-event pass later. A no-op when the compiled engine
+    is gated off, the run would be ineligible, or the lowering exists.
+    """
+    from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD as period
+    from . import compiled_enabled, enabled
+
+    if (enabled() and compiled_enabled() and ineligibility(sim, trace) is None
+            and not lowered(sim, trace, period)):
+        compiled_for(sim, trace, period)
+
+
+def first_sighting(sim, trace, sample_period: int) -> bool:
+    """Record a cold run of ``trace`` under ``sim``'s lowering key.
+
+    True when no lowering is memoized for the key and the trace was never
+    run cold under it before. Lowering costs about 1.7 per-event passes
+    and a replay about 0.2, so a lowering used once is pure overhead: the
+    caller runs that first sighting per-event and lowers on the second.
+    The marker lives on the trace next to the lowering memo (dropped on
+    pickling alike); the check is not a memo probe, so the telemetry's
+    lowering counters see only runs that replay.
+    """
+    key = classification_key(sim, sample_period)
+    if key in trace.__dict__.get("_compiled", ()):
+        return False
+    sighted = trace.__dict__.setdefault("_sighted", set())
+    if key in sighted:
+        return False
+    sighted.add(key)
+    return True
+
+
 def ineligibility(sim, trace) -> str | None:
     """Why a compiled replay cannot run, or ``None`` when it can.
 

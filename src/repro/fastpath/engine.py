@@ -12,16 +12,21 @@ credit_demand`. The arithmetic is identical operation for operation, so
 results — including the committed figure-6 golden sweep — are
 byte-identical to the reference loop.
 
-When the compiled-replay gate is on (see the package docstring) and the
-run qualifies — cold caches, no armed sanitizer — ``execute`` instead
-dispatches to :func:`repro.fastpath.compiled.execute_compiled`, which
-replays the trace's memoized lowering through an even leaner loop with,
-again, bit-identical arithmetic.
+When the compiled-replay gate is on (see the package docstring), the
+run qualifies — cold caches, no armed sanitizer — and its lowering is
+reused, ``execute`` instead dispatches to
+:func:`repro.fastpath.compiled.execute_compiled`, which replays the
+trace's memoized lowering through an even leaner loop with, again,
+bit-identical arithmetic. A lowering counts as reused when it is
+already memoized or the trace was already run cold once under the same
+traffic geometry; the first sighting runs here with reason
+``single_use``, because lowering costs about 1.7 per-event passes and
+pays off only when replayed.
 """
 
 from __future__ import annotations
 
-from .compiled import execute_compiled, ineligibility
+from .compiled import execute_compiled, first_sighting, ineligibility
 
 
 def execute(sim, trace, warmup: float, sample_period: int) -> tuple[float, float, int]:
@@ -33,14 +38,18 @@ def execute(sim, trace, warmup: float, sample_period: int) -> tuple[float, float
     obs hooks must NOT be armed (the fast path has no per-event
     callback sites). Each run is attributed on the simulator's
     :class:`~repro.fastpath.EngineTelemetry`: compiled replay when
-    eligible, otherwise the batched loop with the reason compiled
-    replay was passed over.
+    eligible and reused (always, under ``forced_compiled(True)``),
+    otherwise the batched loop with the reason compiled replay was
+    passed over.
     """
-    from . import ENGINE_COMPILED, ENGINE_PER_EVENT, compiled_enabled
+    from . import _FORCED_COMPILED, ENGINE_COMPILED, ENGINE_PER_EVENT, compiled_enabled
 
     telemetry = sim.engine_telemetry
     if compiled_enabled():
         reason = ineligibility(sim, trace)
+        if (reason is None and not _FORCED_COMPILED
+                and first_sighting(sim, trace, sample_period)):
+            reason = "single_use"
         if reason is None:
             telemetry.record(ENGINE_COMPILED)
             return execute_compiled(sim, trace, warmup, sample_period)

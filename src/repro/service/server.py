@@ -48,6 +48,7 @@ from ..api import schema
 from ..core.config import ConfigurationError, MachineConfig
 from ..evalx.parallel import Cell, ResultCache, run_cells
 from ..evalx.runner import CONFIGS, config_named
+from ..fastpath import compiled
 from ..obs.fleet import CallbackProgressSink, ProgressStream
 from ..workloads.spec2k import SPEC2K_BENCHMARKS
 from .cache import LruResultTier, SingleFlight
@@ -251,10 +252,16 @@ class SweepService:
                 warm = self.pool.reused > reused_before
                 try:
                     trace = await asyncio.to_thread(self.traces.get, workload, events)
-                    result = await asyncio.to_thread(
-                        lambda: sim.run(trace, label=label, warmup=warmup,
-                                        collect_metrics=metrics)
-                    )
+
+                    def simulate() -> object:
+                        # A stored trace is shared across requests, so its
+                        # lowering will be replayed: lower on first serve
+                        # rather than after a per-event first sighting.
+                        compiled.lower_ahead(sim, trace)
+                        return sim.run(trace, label=label, warmup=warmup,
+                                       collect_metrics=metrics)
+
+                    result = await asyncio.to_thread(simulate)
                     engine = sim.engine_telemetry.last_engine or "reference"
                 finally:
                     self.pool.release(sim)

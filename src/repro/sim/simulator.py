@@ -48,11 +48,13 @@ class TimingSimulator:
 
     ``run()`` has three interchangeable execution engines: the compiled
     trace replay (:mod:`repro.fastpath.compiled` — a memoized lowering
-    of the trace replayed per configuration; the default for cold-start
-    runs), the batched per-event loop (:mod:`repro.fastpath.engine` —
-    warm reuse, or ``REPRO_COMPILED=0``), and the instrumented reference
-    loop in :meth:`_run_reference`, required whenever a
-    :mod:`repro.obs` session is active or the sanitizer is armed. All
+    of the trace replayed per configuration; cold runs whose lowering
+    is reused), the batched per-event loop (:mod:`repro.fastpath.engine`
+    — the first cold run of a trace under a traffic geometry, since a
+    lowering costs about 1.7 per-event passes and pays off only when
+    replayed; warm reuse; ``REPRO_COMPILED=0``), and the instrumented
+    reference loop in :meth:`_run_reference`, required whenever a
+    :mod:`repro.obs` session is active or ``REPRO_FASTPATH=0``. All
     three compute the identical arithmetic in the identical order, so
     results — including the committed figure-6 golden sweep — are
     byte-identical whichever runs.
@@ -465,8 +467,10 @@ class TimingSimulator:
         timeline. With no session active and :mod:`repro.fastpath`
         enabled (the default), the fast engines run instead of the
         instrumented loop — the compiled trace replay when this run
-        starts cold, the batched per-event loop otherwise; every engine
-        produces bit-identical results.
+        starts cold and its lowering is reused (already memoized, or a
+        second cold run of this trace on this geometry), the batched
+        per-event loop otherwise; every engine produces bit-identical
+        results.
         """
         self.bus.rebase(0.0)
         self._hooks = None

@@ -114,6 +114,7 @@ class Trace:
         state = dict(self.__dict__)
         state.pop("_decoded", None)
         state.pop("_compiled", None)  # lowerings rebuild cheaply in-process
+        state.pop("_sighted", None)  # first-sighting markers are per process too
         return state
 
     def aligned(self) -> "Trace":

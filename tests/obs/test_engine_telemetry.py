@@ -67,14 +67,39 @@ class TestEngineTelemetryObject:
 
 
 class TestRunAttribution:
-    def test_cold_run_uses_compiled_no_reason(self):
+    def test_single_cold_run_is_per_event_single_use(self):
+        # A lowering used once costs more than the per-event pass it
+        # replaces, so the first sighting runs per-event — without
+        # probing the lowering memo.
         sim = fresh_sim()
         sim.run(resident_trace(3000), label="aise+bmt")
         t = sim.engine_telemetry
         assert t.runs == 1
+        assert t.last_engine == fastpath.ENGINE_PER_EVENT
+        assert t.last_reason == "single_use"
+        assert t.fallbacks == {"single_use": 1}
+        assert t.lowering_hits + t.lowering_misses == 0
+
+    def test_second_cold_run_on_the_trace_compiles(self):
+        trace = resident_trace(3000)
+        fresh_sim().run(trace, label="aise+bmt")
+        sim = fresh_sim()
+        sim.run(trace, label="aise+bmt")
+        t = sim.engine_telemetry
         assert t.last_engine == fastpath.ENGINE_COMPILED
         assert t.last_reason is None
         assert t.fallbacks == {}
+        assert (t.lowering_hits, t.lowering_misses) == (0, 1)
+
+    def test_precompiled_trace_replays_on_first_run(self):
+        from repro import api
+
+        trace = api.precompile(resident_trace(3000), "aise+bmt")["trace"]
+        sim = fresh_sim()
+        sim.run(trace, label="aise+bmt")
+        t = sim.engine_telemetry
+        assert t.last_engine == fastpath.ENGINE_COMPILED
+        assert (t.lowering_hits, t.lowering_misses) == (1, 0)
 
     def test_warm_rerun_falls_back_with_warm_caches(self):
         sim = fresh_sim()
@@ -85,7 +110,7 @@ class TestRunAttribution:
         assert t.runs == 2
         assert t.last_engine == fastpath.ENGINE_PER_EVENT
         assert t.last_reason == "warm_caches"
-        assert t.fallbacks == {"warm_caches": 1}
+        assert t.fallbacks == {"single_use": 1, "warm_caches": 1}
 
     def test_compiled_gate_off_reason(self):
         sim = fresh_sim()
@@ -137,12 +162,13 @@ class TestRunAttribution:
 class TestLoweringMemo:
     def test_fresh_sim_on_lowered_trace_hits_memo(self):
         trace = resident_trace(3000)
-        first = fresh_sim()
-        first.run(trace, label="aise+bmt")
-        assert first.engine_telemetry.lowering_misses == 1
-        second = fresh_sim()
-        second.run(trace, label="aise+bmt")
-        t = second.engine_telemetry
+        fresh_sim().run(trace, label="aise+bmt")  # first sighting: per-event
+        lowering = fresh_sim()
+        lowering.run(trace, label="aise+bmt")
+        assert lowering.engine_telemetry.lowering_misses == 1
+        replay = fresh_sim()
+        replay.run(trace, label="aise+bmt")
+        t = replay.engine_telemetry
         assert t.lowering_hits == 1
         assert t.lowering_misses == 0
         assert t.lowering_hit_rate == 1.0
@@ -153,12 +179,12 @@ class TestRegistryExposure:
         sim = fresh_sim()
         sim.run(resident_trace(3000), label="aise+bmt")
         snap = sim.registry.snapshot()
-        assert snap["engine.runs.compiled"] == 1
-        assert snap["engine.runs.per_event"] == 0
+        assert snap["engine.runs.compiled"] == 0
+        assert snap["engine.runs.per_event"] == 1
         assert snap["engine.runs.reference"] == 0
-        assert snap["engine.fallback_reasons"] == {}
-        assert snap["engine.lowering_memo.misses"] + snap["engine.lowering_memo.hits"] == 1
-        assert 0.0 <= snap["engine.lowering_memo.hit_rate"] <= 1.0
+        assert snap["engine.fallback_reasons"] == {"single_use": 1}
+        assert snap["engine.lowering_memo.misses"] + snap["engine.lowering_memo.hits"] == 0
+        assert snap["engine.lowering_memo.hit_rate"] == 0.0
 
     def test_telemetry_survives_warmup_stats_reset(self):
         # registry.reset() only zeroes push-model metrics; the telemetry
@@ -172,7 +198,8 @@ class TestRegistryExposure:
 class TestResultsUnchanged:
     def test_attribution_never_changes_arithmetic(self):
         trace = resident_trace(3000)
-        compiled = fresh_sim().run(trace, label="aise+bmt")
+        with fastpath.forced_compiled(True):
+            compiled = fresh_sim().run(trace, label="aise+bmt")
         with fastpath.forced_compiled(False):
             per_event = fresh_sim().run(trace, label="aise+bmt")
         with fastpath.forced(False):

@@ -203,6 +203,48 @@ class TestOtherOps:
         assert status["lru"]["size"] <= status["lru"]["capacity"]
 
 
+class TestFirstServeLowering:
+    """The service lowers a stored trace on first serve.
+
+    The timing engine lowers only on a trace's second cold sighting; a
+    :class:`TraceStore` trace is shared across requests, so the service
+    lowers it up front and every miss — the first one included — replays.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _sanitizer_disarmed(self):
+        # An armed sanitizer (REPRO_SANITIZE=1) rightly keeps every run
+        # off the replay these tests assert.
+        from repro.core import sanitizer
+
+        previous = sanitizer.active()
+        sanitizer.disarm()
+        yield
+        if previous is not None:
+            sanitizer.arm(previous)
+
+    def test_simulate_miss_on_a_stored_trace_replays(self):
+        import asyncio
+
+        from repro.service.server import SweepService
+
+        service = SweepService()
+        config = api.MachineConfig.preset("aise+bmt")
+
+        async def serve_two_misses():
+            return [await service._cell_record("gzip", config, "aise+bmt",
+                                               EVENTS, 0.7, warmup, False)
+                    for warmup in (0.25, 0.3)]
+
+        (first, first_tier, first_engine), (second, second_tier, second_engine) = \
+            asyncio.run(serve_two_misses())
+        assert (first_tier, first_engine) == ("cold", "compiled")
+        assert (second_tier, second_engine) == ("warm", "compiled")
+        for record, warmup in ((first, 0.25), (second, 0.3)):
+            assert record == api.simulate("gzip", "aise+bmt", events=EVENTS,
+                                          warmup=warmup, label="aise+bmt").to_dict()
+
+
 class TestShutdown:
     def test_shutdown_request_stops_the_server(self):
         handle = serve_background()

@@ -65,7 +65,14 @@ def run_reference(config: MachineConfig, trace, **kw):
 def run_compiled(config: MachineConfig, trace, **kw):
     sim = TimingSimulator(config)
     with fastpath.forced(True), fastpath.forced_compiled(True):
-        return sim.run(trace, **kw)
+        result = sim.run(trace, **kw)
+    # The equivalence claims below are about the replay: a run that
+    # quietly took the per-event engine would prove nothing. Only a
+    # deferred-update scheme may bow out, under its declared reason.
+    t = sim.engine_telemetry
+    assert (t.last_engine == fastpath.ENGINE_COMPILED
+            or t.last_reason == "deferred_updates"), t.last_reason
+    return result
 
 
 def as_fields(result) -> dict:
@@ -170,6 +177,59 @@ class TestEdges:
         clone = pickle.loads(pickle.dumps(trace))
         assert "_compiled" not in clone.__dict__
         assert clone.digest() == trace.digest()
+
+
+def run_default(config: MachineConfig, trace, **kw):
+    """A fresh simulator under the default engine choice; its telemetry."""
+    sim = TimingSimulator(config)
+    with fastpath.forced(True):
+        result = sim.run(trace, **kw)
+    return result, sim.engine_telemetry
+
+
+class TestReuseRule:
+    """Lower only where a lowering is replayed.
+
+    A lowering costs about 1.7 per-event passes and a replay about 0.2,
+    so a first cold sighting of (trace, traffic geometry) runs per-event
+    and the second lowers. Results are byte-identical either way.
+    """
+
+    def test_pickling_drops_the_sighting_marker(self):
+        trace = random_trace(events=600, seed=17)
+        _, t = run_default(MachineConfig.preset("aise"), trace)
+        assert t.last_reason == "single_use"
+        assert trace.__dict__["_sighted"]
+        clone = pickle.loads(pickle.dumps(trace))
+        assert "_sighted" not in clone.__dict__
+        # ... so the clone's first run is a first sighting again.
+        _, t = run_default(MachineConfig.preset("aise"), clone)
+        assert t.last_reason == "single_use"
+
+    def test_two_geometries_never_lower(self):
+        trace = random_trace(events=800, seed=19)
+        for preset in ("aise", "aise+bmt"):
+            _, t = run_default(MachineConfig.preset(preset), trace)
+            assert t.last_engine == fastpath.ENGINE_PER_EVENT
+            assert t.last_reason == "single_use"
+            assert t.lowering_hits + t.lowering_misses == 0
+        assert not trace.__dict__.get("_compiled")
+
+    def test_timing_only_variation_lowers_then_replays(self):
+        trace = random_trace(events=1200, seed=13)
+        slow = MachineConfig.preset("aise+bmt")
+        fast_mem = MachineConfig.preset("aise+bmt", memory_latency=77)
+        _, first = run_default(slow, trace)
+        second_result, second = run_default(fast_mem, trace)
+        third_result, third = run_default(fast_mem, trace, warmup=0.5)
+        assert first.last_reason == "single_use"
+        assert second.last_engine == fastpath.ENGINE_COMPILED
+        assert (second.lowering_hits, second.lowering_misses) == (0, 1)
+        assert third.last_engine == fastpath.ENGINE_COMPILED
+        assert (third.lowering_hits, third.lowering_misses) == (1, 0)
+        assert as_fields(second_result) == as_fields(run_reference(fast_mem, trace))
+        assert as_fields(third_result) == as_fields(
+            run_reference(fast_mem, trace, warmup=0.5))
 
 
 class TestSecurityPath:
